@@ -77,18 +77,18 @@ class FilteredPerceptronPredictor(DirectionPredictor):
         """:meth:`train` with the filter hash pair precomputed at lookup."""
         way = self.filter.probe(set_index, tag)
         if way is not None:
-            predicted = self.perceptron.predict(pc, history)
+            predicted, x = self.perceptron.predict_packed(pc, history)
             if self.stats_enabled:
                 self.stats.record(predicted == taken)
-            self.perceptron.update(pc, history, taken, predicted)
+            self.perceptron.update_packed(pc, history, taken, predicted, x)
             self.filter._touch(set_index, way)
             return
         if final_mispredict:
             self.filter.insert(set_index, tag)
             # Initialise the prediction structure toward the outcome, the
             # perceptron analogue of setting a counter weakly taken/not.
-            predicted = self.perceptron.predict(pc, history)
-            self.perceptron.update(pc, history, taken, predicted)
+            predicted, x = self.perceptron.predict_packed(pc, history)
+            self.perceptron.update_packed(pc, history, taken, predicted, x)
 
     def lookup(self, pc: int, history: int) -> CritiqueLookup:
         """Parallel tag probe + perceptron compute; opinion only on hit."""

@@ -516,6 +516,11 @@ class SweepDaemon:
                 pass
         finally:
             try:
+                # Half-close first: pool workers forked while this
+                # connection was open hold copies of its socket, so
+                # close() alone would never send the client its EOF.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):

@@ -45,6 +45,8 @@ Two amortization layers sit on top of the kernels:
 
 from __future__ import annotations
 
+from operator import mul
+
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - numpy is part of the toolchain
@@ -59,7 +61,7 @@ from repro.predictors.filtered_perceptron import FilteredPerceptronPredictor
 from repro.predictors.gas import GAsPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.gskew import TwoBcGskewPredictor
-from repro.predictors.perceptron import PerceptronPredictor
+from repro.predictors.perceptron import PerceptronPredictor, train_row
 from repro.predictors.tagged_gshare import TaggedGsharePredictor
 from repro.sim.driver import SimulationDesyncError
 from repro.sim.metrics import RunStats
@@ -106,16 +108,6 @@ SCALAR_FALLBACK_KINDS = frozenset({
 })
 
 
-# -- structure-of-arrays predictor helpers ----------------------------------
-#
-# Each batch helper evaluates one predictor over parallel (pc, history)
-# arrays, reading the predictor's live counter lists. Index math runs in
-# numpy; counter gathers go through listcomp/fromiter on the raw Python
-# lists (converting a whole table to an array per call would cost more
-# than the batch saves). Constant hash tables are cached on the
-# predictor as numpy arrays on first use.
-
-
 def _np_table(predictor, attr: str, values) -> "np.ndarray":
     """Cache a constant lookup table on the predictor as int64 ndarray."""
     cached = getattr(predictor, attr, None)
@@ -123,176 +115,6 @@ def _np_table(predictor, attr: str, values) -> "np.ndarray":
         cached = np.asarray(values, dtype=np.int64)
         setattr(predictor, attr, cached)
     return cached
-
-
-def batch_predict_gskew(predictor, pcs, histories):
-    """Vectorized ``TwoBcGskewPredictor.predict_packed``.
-
-    Returns ``(preds, packed)``: a bool ndarray of predictions and the
-    list of packed bank-index states (Python ints — the packed word can
-    exceed 63 bits at large geometries).
-    """
-    n = predictor._index_bits
-    imask = predictor._index_mask
-    h_np = _np_table(predictor, "_h_np", predictor._h_table)
-    hinv_np = _np_table(predictor, "_hinv_np", predictor._hinv_table)
-    v1 = (pcs >> 2) & imask
-    v2 = ((histories & predictor._history_mask) ^ (pcs >> predictor._pc_high_shift)) & imask
-    hv1 = h_np[v1]
-    hinv_v2 = hinv_np[v2]
-    g0_idx = hv1 ^ hinv_v2 ^ v2
-    g1_idx = hv1 ^ hinv_v2 ^ v1
-    meta_idx = hinv_np[v1] ^ h_np[v2] ^ v2
-    v1_l = v1.tolist()
-    g0_l = g0_idx.tolist()
-    g1_l = g1_idx.tolist()
-    meta_l = meta_idx.tolist()
-    count = len(v1_l)
-    bim_raw = predictor._bim_raw
-    g0_raw = predictor._g0_raw
-    g1_raw = predictor._g1_raw
-    meta_raw = predictor._meta_raw
-    bim_t = np.fromiter((bim_raw[i] for i in v1_l), dtype=np.int64, count=count) > 1
-    g0_t = np.fromiter((g0_raw[i] for i in g0_l), dtype=np.int64, count=count) > 1
-    g1_t = np.fromiter((g1_raw[i] for i in g1_l), dtype=np.int64, count=count) > 1
-    meta_t = np.fromiter((meta_raw[i] for i in meta_l), dtype=np.int64, count=count) > 1
-    majority = (bim_t.astype(np.int64) + g0_t + g1_t) >= 2
-    preds = np.where(meta_t, majority, bim_t)
-    n2 = 2 * n
-    n3 = 3 * n
-    packed = [
-        v1_l[i] | (g0_l[i] << n) | (g1_l[i] << n2) | (meta_l[i] << n3)
-        for i in range(count)
-    ]
-    return preds, packed
-
-
-def batch_predict_gshare(predictor, pcs, histories):
-    """Vectorized ``GsharePredictor.predict_packed`` → (preds, indices)."""
-    idx = ((pcs >> 2) ^ (histories & predictor._history_mask)) & predictor._index_mask
-    idx_l = idx.tolist()
-    raw = predictor._raw
-    mid = predictor._midpoint
-    preds = np.fromiter((raw[i] for i in idx_l), dtype=np.int64, count=len(idx_l)) > mid
-    return preds, idx_l
-
-
-def batch_predict_gas(predictor, pcs, histories):
-    """Vectorized ``GAsPredictor.predict_packed`` → (preds, indices)."""
-    hmask = (1 << predictor.history_length) - 1
-    smask = (1 << predictor.set_bits) - 1
-    idx = ((histories & hmask) << predictor.set_bits) | ((pcs >> 2) & smask)
-    idx_l = idx.tolist()
-    raw = predictor.table.raw
-    mid = predictor.table.midpoint
-    preds = np.fromiter((raw[i] for i in idx_l), dtype=np.int64, count=len(idx_l)) > mid
-    return preds, idx_l
-
-
-def batch_predict_bimodal(predictor, pcs, histories):
-    """Vectorized ``BimodalPredictor.predict_packed`` → (preds, indices)."""
-    idx = (pcs >> 2) & ((1 << predictor._index_bits) - 1)
-    idx_l = idx.tolist()
-    raw = predictor.table.raw
-    mid = predictor.table.midpoint
-    preds = np.fromiter((raw[i] for i in idx_l), dtype=np.int64, count=len(idx_l)) > mid
-    return preds, idx_l
-
-
-def batch_predict_perceptron(predictor, pcs, histories):
-    """Vectorized ``PerceptronPredictor.predict_packed``.
-
-    Returns ``(preds, states)``: a bool ndarray of predictions and the
-    list of ±1 input vectors (the packed state ``update_packed``
-    expects). Histories wider than 62 bits fall back to the scalar
-    ``_inputs`` per element (the int64 shift table would overflow).
-    """
-    h = predictor.history_length
-    rows = ((pcs >> 2) % predictor.n_perceptrons).tolist()
-    count = len(rows)
-    if h < 63:
-        bits = (histories[:, None] >> np.arange(h, dtype=np.int64)) & 1
-        x = np.empty((count, h + 1), dtype=np.int16)
-        x[:, 0] = 1
-        x[:, 1:] = bits.astype(np.int16) * 2 - 1
-        states = list(x)
-    else:
-        inputs = predictor._inputs
-        states = [inputs(int(histories[i])) for i in range(count)]
-        x = np.stack(states) if count else np.zeros((0, h + 1), np.int16)
-    weights = predictor.weights
-    y = (
-        np.stack([weights[r] for r in rows]).astype(np.int32)
-        * x.astype(np.int32)
-    ).sum(axis=1) if count else np.zeros(0, np.int32)
-    return y >= 0, states
-
-
-_BATCH_PREDICT = {
-    _GSKEW: batch_predict_gskew,
-    _GSHARE: batch_predict_gshare,
-    _GAS: batch_predict_gas,
-    _BIMODAL: batch_predict_bimodal,
-    _PERC: batch_predict_perceptron,
-}
-
-
-def batch_hash_tagged_gshare(critic, pcs, histories):
-    """Vectorized ``TaggedGsharePredictor._hash_pair``.
-
-    Returns ``(set_indices, tags)`` as Python int lists. The rotated tag
-    fold reads the *raw* history (before masking), exactly like the
-    scalar hash.
-    """
-    values = histories & critic._history_mask
-    fi = pcs >> 2
-    for shift in critic._set_fold_shifts:
-        fi = fi ^ (values >> shift)
-    ftag = np.zeros_like(pcs)
-    for shift in critic._tag_fold_shifts:
-        ftag = ftag ^ (values >> shift)
-    ft2 = np.zeros_like(pcs)
-    if critic._tag_fold_shifts:
-        rotated = ((histories >> 1) | ((histories & 1) << critic._rotate_shift)) & critic._history_mask
-        for shift in critic._tag_fold_shifts:
-            ft2 = ft2 ^ (rotated >> shift)
-    tags = (
-        (pcs >> 5) ^ (pcs >> (5 + critic.tag_bits)) ^ ftag ^ (ft2 << 1)
-    ) & critic._tag_mask
-    sets = fi & critic._set_mask
-    return sets.tolist(), tags.tolist()
-
-
-def batch_hash_filtered_perceptron(critic, pcs, histories):
-    """Vectorized filter hashes of ``FilteredPerceptronPredictor``.
-
-    Mirrors ``_set_index``/``_tag`` (``index_hash``/``tag_hash`` over the
-    ``filter_history_length`` slice of the BOR) with the same fold
-    structure as the tagged-gshare hash. Returns ``(set_indices, tags)``
-    as Python int lists.
-    """
-    fhl = critic.filter_history_length
-    set_bits = critic.filter.set_bits
-    tag_bits = critic.tag_bits
-    hmask = (1 << fhl) - 1 if fhl > 0 else 0
-    tag_shifts = range(0, fhl, max(tag_bits, 1))
-    values = histories & hmask
-    fi = pcs >> 2
-    for shift in range(0, fhl, max(set_bits, 1)):
-        fi = fi ^ (values >> shift)
-    ftag = np.zeros_like(pcs)
-    for shift in tag_shifts:
-        ftag = ftag ^ (values >> shift)
-    ft2 = np.zeros_like(pcs)
-    if fhl > 0:
-        rotated = ((histories >> 1) | ((histories & 1) << (fhl - 1))) & hmask
-        for shift in tag_shifts:
-            ft2 = ft2 ^ (rotated >> shift)
-    tags = (
-        (pcs >> 5) ^ (pcs >> (5 + tag_bits)) ^ ftag ^ (ft2 << 1)
-    ) & ((1 << tag_bits) - 1)
-    sets = fi & ((1 << set_bits) - 1)
-    return sets.tolist(), tags.tolist()
 
 
 # -- flat CFG segments ------------------------------------------------------
@@ -759,8 +581,6 @@ def _simulate_single(program, system, config, kind: int, shared=None):
     elif kind == _PERC:
         pp_w = predictor.weights
         pp_inputs = predictor._inputs
-        np_dot = np.dot
-        np_int32 = np.int32
 
         def _build_rows():
             a_c = ((pcs >> 2) % predictor.n_perceptrons).tolist()
@@ -925,7 +745,7 @@ def _simulate_single(program, system, config, kind: int, shared=None):
                                     pred = ga_raw[state] > ga_mid
                                 elif kind == _PERC:
                                     state = pp_inputs(bhr_val)
-                                    pred = int(np_dot(pp_w[c].astype(np_int32), state)) >= 0
+                                    pred = sum(map(mul, pp_w[c], state)) >= 0
                                 else:
                                     state = c
                                     pred = bm_raw[state] > bm_mid
@@ -1027,9 +847,7 @@ def _simulate_single(program, system, config, kind: int, shared=None):
                             elif kind == _GAS:
                                 pred = ga_raw[((bhr_val & ga_hmask) << ga_sb) | c0] > ga_mid
                             elif kind == _PERC:
-                                pred = int(
-                                    np_dot(pp_w[c0].astype(np_int32), pp_inputs(bhr_val))
-                                ) >= 0
+                                pred = sum(map(mul, pp_w[c0], pp_inputs(bhr_val))) >= 0
                             else:
                                 pred = bm_raw[c0] > bm_mid
                             bhr_val = ((bhr_val << 1) | pred) & bhr_mask
@@ -1276,10 +1094,6 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
 
     t_snap_c = _ctx_get(shared, ("snapc", n_resolved), _build_snapc)
 
-    np_dot = np.dot
-    np_int32 = np.int32
-    np_clip = np.clip
-
     if kind == _GSKEW:
         gk_imask = prophet._index_mask
         gk_hmask = prophet._history_mask
@@ -1393,8 +1207,6 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
         fp_n = fp.n_perceptrons
         fp_thresh = fp.threshold
         fp_inputs = fp._inputs
-        fp_wmin = fp.WEIGHT_MIN
-        fp_wmax = fp.WEIGHT_MAX
 
     # Fold-image tables for the critique hash (both critics share the
     # fold structure). Gated by width: the image spans one bit above the
@@ -1550,9 +1362,8 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                             if ckind == _CR_TAGGED:
                                 final = c_counters[si * c_ways + way] > 1
                             else:
-                                final = int(np_dot(
-                                    fp_w[k0 % fp_n].astype(np_int32),
-                                    fp_inputs(bor_value),
+                                final = sum(map(
+                                    mul, fp_w[k0 % fp_n], fp_inputs(bor_value)
                                 )) >= 0
                             r_cq[s] = (final, True, final, si, tg, bor_value)
                         else:
@@ -1719,9 +1530,7 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 pred = ga_raw[state] > ga_mid
                             elif kind == _PERC:
                                 state = pp_inputs(bhr_val)
-                                pred = int(
-                                    np_dot(pp_w[c].astype(np_int32), state)
-                                ) >= 0
+                                pred = sum(map(mul, pp_w[c], state)) >= 0
                             else:
                                 state = c
                                 pred = bm_raw[state] > bm_mid
@@ -1842,9 +1651,7 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 pred = ga_raw[state] > ga_mid
                             elif kind == _PERC:
                                 state = pp_inputs(bhr_val)
-                                pred = int(
-                                    np_dot(pp_w[fs[8]].astype(np_int32), state)
-                                ) >= 0
+                                pred = sum(map(mul, pp_w[fs[8]], state)) >= 0
                             else:
                                 state = fs[8]
                                 pred = bm_raw[state] > bm_mid
@@ -1919,9 +1726,8 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 if ckind == _CR_TAGGED:
                                     final = c_counters[si * c_ways + way] > 1
                                 else:
-                                    final = int(np_dot(
-                                        fp_w[k0 % fp_n].astype(np_int32),
-                                        fp_inputs(bor_value),
+                                    final = sum(map(
+                                        mul, fp_w[k0 % fp_n], fp_inputs(bor_value)
                                     )) >= 0
                                 r_cq[s] = (final, True, final, si, tg, bor_value)
                             else:
@@ -2188,9 +1994,8 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                         way = f_maps[si].get(tg)
                         if way is not None:
                             x = fp_inputs(borc)
-                            wi = k0 % fp_n
-                            wrow = fp_w[wi]
-                            y = int(np_dot(wrow.astype(np_int32), x))
+                            wrow = fp_w[k0 % fp_n]
+                            y = sum(map(mul, wrow, x))
                             predicted = y >= 0
                             if c_stats_on:
                                 c_sn += 1
@@ -2201,10 +2006,7 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 if predicted == taken:
                                     fp_sc += 1
                             if predicted != taken or abs(y) <= fp_thresh:
-                                t = 1 if taken else -1
-                                updated = wrow + t * x
-                                np_clip(updated, fp_wmin, fp_wmax, out=updated)
-                                fp_w[wi] = updated
+                                train_row(wrow, x, taken)
                             order = f_lru[si]
                             if order[-1] != way:
                                 order.remove(way)
@@ -2228,18 +2030,14 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 order.remove(way)
                                 order.append(way)
                             x = fp_inputs(borc)
-                            wi = k0 % fp_n
-                            wrow = fp_w[wi]
-                            y = int(np_dot(wrow.astype(np_int32), x))
+                            wrow = fp_w[k0 % fp_n]
+                            y = sum(map(mul, wrow, x))
                             if fp_stats_on:
                                 fp_sn += 1
                                 if (y >= 0) == taken:
                                     fp_sc += 1
                             if (y >= 0) != taken or abs(y) <= fp_thresh:
-                                t = 1 if taken else -1
-                                updated = wrow + t * x
-                                np_clip(updated, fp_wmin, fp_wmax, out=updated)
-                                fp_w[wi] = updated
+                                train_row(wrow, x, taken)
                     mispredicted = final != taken
                 head += 1
                 resolved += 1

@@ -123,6 +123,34 @@ class TestSubmitStreamFetch:
                     )
 
 
+class TestEventStreamEnd:
+    def test_stream_reaches_eof_when_the_pool_forks_while_it_is_open(self, tmp_path):
+        """Workers forked under an open stream must not hold it open.
+
+        Forked pool workers inherit the stream's socket, so closing the
+        daemon's end alone never sends EOF; a client that reads to end
+        of stream (``list(client.events(job))``) would then wait until
+        its socket timeout. The stream is opened while the runner is
+        paused, so the 2-worker pool forks after it exists.
+        """
+        handle = start_daemon(ServeConfig(
+            port=0, jobs=2, cache_url=str(tmp_path / "cache"), paused=True,
+        ))
+        try:
+            client = SweepClient(handle.url, timeout=30.0)
+            job = client.submit_payload(_payload())
+            stream = client.events(job)
+            assert next(stream)["event"] == "status"  # open and subscribed
+            handle.resume()
+            started = time.monotonic()
+            rest = list(stream)  # a hang raises TimeoutError after 30 s
+            assert rest[-1]["event"] == "done"
+            assert time.monotonic() - started < 30.0
+            assert handle.daemon.engine.executor.jobs == 2
+        finally:
+            handle.stop()
+
+
 class TestQueueDiscipline:
     def test_queue_full_returns_429(self, tmp_path):
         """Submissions beyond max_queue bounce with 429 + Retry-After."""

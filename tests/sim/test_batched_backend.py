@@ -10,8 +10,6 @@ not:
 * deep windows (long aligned run-ahead, the batched fast path);
 * the memoized architectural trace: repeat runs, prefix reuse, and
   scalar runs staying oblivious to the cache;
-* the vectorized batch-predict helpers against each predictor's scalar
-  ``predict_packed``, and the tagged-gshare hash against ``_hash_pair``;
 * backend dispatch: unknown names, the scalar fallback for unsupported
   predictors, and the numpy-missing gate;
 * the hash-stability constraint: ``backend`` is an execution detail and
@@ -21,7 +19,6 @@ not:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import replace
 
 import pytest
@@ -324,44 +321,6 @@ class TestPickleHygiene:
             _program("gcc", 33), spec.build(), replace(_CONFIG, backend="scalar")
         )
         _assert_identical(fresh, scalar)
-
-
-def _random_inputs(rng, count=256):
-    pcs = np.asarray(
-        [0x40000000 + 4 * int(rng.integers(0, 1 << 20)) for _ in range(count)],
-        dtype=np.int64,
-    )
-    hists = np.asarray(
-        [int(rng.integers(0, 1 << 24)) for _ in range(count)], dtype=np.int64
-    )
-    return pcs, hists
-
-
-class TestBatchHelpers:
-    """Vectorized predict/hash helpers vs the scalar methods they mirror."""
-
-    @pytest.mark.parametrize("kind", ["2bc-gskew", "gshare", "gas", "bimodal"])
-    def test_batch_predict_matches_scalar(self, kind):
-        predictor = _single_builders()[kind]().predictor
-        fn = batched._BATCH_PREDICT[batched._PROPHET_KINDS[type(predictor)]]
-        rng = np.random.default_rng(zlib.crc32(kind.encode()))
-        pcs, hists = _random_inputs(rng)
-        preds, states = fn(predictor, pcs, hists)
-        for i in range(len(pcs)):
-            pred, state = predictor.predict_packed(int(pcs[i]), int(hists[i]))
-            assert bool(preds[i]) == pred, i
-            assert states[i] == state, i
-
-    def test_batch_hash_matches_scalar(self):
-        from repro.predictors.budget import make_critic
-
-        critic = make_critic("tagged-gshare", 2)
-        rng = np.random.default_rng(99)
-        pcs, hists = _random_inputs(rng)
-        sets, tags = batched.batch_hash_tagged_gshare(critic, pcs, hists)
-        for i in range(len(pcs)):
-            set_index, tag = critic._hash_pair(int(pcs[i]), int(hists[i]))
-            assert (sets[i], tags[i]) == (set_index, tag), i
 
 
 class TestBackendDispatch:
